@@ -47,7 +47,7 @@ class DeadlockError(SimulationError):
     ``fusion`` (fused event kernel only) is a dict describing the
     superblock machinery at the moment of death: last dispatched span
     entry point, per-reason de-fusion counters, quarantined entries,
-    and the interleaved promotion-ladder state.
+    and the interleaved build-ladder state.
     """
 
     def __init__(self, message, blocked=None, wait_for=None, fusion=None):

@@ -56,12 +56,10 @@ _MT_MAX_SLOTS = 8
 _MT_HORIZON = 64
 _MT_MIN_HORIZON = 4
 _MT_FAIL_LIMIT = 4
-# Interleaved blocks are built by the cheap table-driven backend
-# (~0.2ms), so they warm up fast and earn upgrades by dispatch count:
-# a successful alignment is re-scheduled once its branch profile has
-# matured (longer spans), retried once after a failed compile, and
-# promoted to a generated closure when hot enough to amortize real
-# codegen (see MTBlockPlan.promote).
+# Interleaved blocks are built by the cheap table-driven executor
+# (~0.2ms), so they warm up after a few sightings.  A failed compile
+# is retried once after a backoff, and a successful alignment is
+# re-scheduled once its branch profile has matured (longer spans).
 _MT_WARMUP = 4
 _MT_RETRY_BACKOFF = 64       # sightings before retrying a failed compile
 # Schedule-building spend is bounded by what fusion has earned back: a
@@ -71,7 +69,6 @@ _MT_RETRY_BACKOFF = 64       # sightings before retrying a failed compile
 _MT_BUILD_BASE = 64
 _MT_BUILD_PER_HIT = 4
 _MT_EXTEND_AFTER = 24        # successes before one bias-matured rebuild
-_MT_PROMOTE = 64             # successes before codegen promotion
 
 
 class EventNode(Node):
@@ -1003,8 +1000,6 @@ class EventNode(Node):
             if rebuilt is not None \
                     and rebuilt.last_rel > block.last_rel:
                 entry[0] = rebuilt
-        elif entry[3] == _MT_PROMOTE:
-            block.promote()
         self.stats.fused_dispatches += 1
         parts = tuple((part[0], part[1]) for part in key
                       if part is not None)
@@ -1052,9 +1047,6 @@ class EventNode(Node):
             "warming": len(self._mt_heat),
             "builds": self._mt_builds,
             "hits": self._mt_hits,
-            "promoted": sum(1 for entry in table.values()
-                            if entry is not None
-                            and entry[3] >= _MT_PROMOTE),
         }
         return {
             "last_dispatch": self._last_fused,

@@ -1110,7 +1110,8 @@ def _emit_block(thread_name, start, run, config, recs, issue_order,
 # relative cycle, so :func:`_simulate_mt` replays the whole machine —
 # all N threads, cross-thread unit contention, arbitration losses,
 # parking and unparking — cycle by cycle at compile time, and
-# :func:`_emit_mt_block` bakes the interleaving into one closure.
+# :func:`_emit_mt_block` lowers the interleaving to step tables walked
+# by one generic driver.
 #
 # A compiled interleaving is keyed by its *alignment*: the tuple of
 # (program name, ip) per runnable thread, in arbiter scan order, with
@@ -1125,7 +1126,7 @@ def _emit_block(thread_name, start, run, config, recs, issue_order,
 # cannot see past: one cycle before the first branch resolution (which
 # could spawn, halt, or redirect a thread), or the cycle a thread
 # exhausts its fusible run.  Activity after the span's last issue,
-# landing, or submit is trimmed — the closure returns the last active
+# landing, or submit is trimmed — the driver returns the last active
 # cycle, and the quiet tail (if any) is re-run by the interpreted
 # kernel, whose progress/fast-forward bookkeeping must see it.  Every
 # loose end — in-flight pipeline entries, partially issued words, park
@@ -1153,30 +1154,13 @@ class MTBlockPlan:
     interpreted path.  ``last_rel`` is that cycle relative to entry.
     """
 
-    __slots__ = ("n_slots", "n_ops", "last_rel", "fn", "source",
-                 "emit_args", "hits")
+    __slots__ = ("n_slots", "n_ops", "last_rel", "fn")
 
-    def __init__(self, n_slots, n_ops, last_rel, fn, source):
+    def __init__(self, n_slots, n_ops, last_rel, fn):
         self.n_slots = n_slots
         self.n_ops = n_ops
         self.last_rel = last_rel
         self.fn = fn
-        self.source = source
-        self.emit_args = None  # inputs for promote() codegen
-        self.hits = 0          # successful dispatches since build
-
-    def promote(self):
-        """Swap the table-driven executor for a generated-and-compiled
-        closure of the same schedule.  The closure runs several times
-        faster per dispatch but costs milliseconds of ``compile()`` to
-        build, so the kernel only promotes alignments whose dispatch
-        count has proven the spend back."""
-        if self.emit_args is None:
-            return
-        compiled = _emit_mt_block(*self.emit_args)
-        self.fn = compiled.fn
-        self.source = compiled.source
-        self.emit_args = None
 
 
 class _MTState:
@@ -1226,11 +1210,8 @@ def compile_mt_run(slots, config, arbitration, horizon, bias):
             recs, arriving, last_rel, losses, __ = sim
     if len(recs) < _MIN_MT_OPS:
         return None
-    block = _build_mt_run(slots, states, config, rr, recs, arriving,
+    return _emit_mt_block(slots, states, config, rr, recs, arriving,
                           last_rel, losses)
-    block.emit_args = (slots, states, config, rr, recs, arriving,
-                       last_rel, losses)
-    return block
 
 
 def _mt_entry_states(slots, mem_ok):
@@ -1307,9 +1288,6 @@ def _mt_fetch_partial(state, target, mask):
         rec.word_pos = 0
         rec.slot_pos = slot_pos
         rec.unit_index = plan.unit_index
-        rec.var = None
-        rec.val_expr = None
-        rec.cond_var = None
         rec.followed = False
         rec.br_target = None
         rec.assume_taken = False
@@ -1350,9 +1328,6 @@ def _mt_fetch(state, target):
         rec.word_pos = 0
         rec.slot_pos = slot_pos
         rec.unit_index = plan.unit_index
-        rec.var = None
-        rec.val_expr = None
-        rec.cond_var = None
         rec.followed = False
         rec.br_target = None
         rec.assume_taken = False
@@ -1378,7 +1353,7 @@ def _simulate_mt(states, config, rr, horizon, snap, bias):
     Branches are *followed*: an unconditional ``br`` jumps to its
     static target, and a conditional ``brt``/``brf`` is scheduled down
     an assumed direction — taken for backward targets (loop edges),
-    fall-through otherwise — which the emitted closure enforces with a
+    fall-through otherwise — which the built executor enforces with a
     run-time guard on the issue-time condition value, falling back to
     the interpreter when the assumption misses.  The span's hard end
     is the earliest boundary the schedule cannot cross: one cycle
@@ -1595,377 +1570,6 @@ def _simulate_mt(states, config, rr, horizon, snap, bias):
     return recs, arriving, last_rel, losses, best_cut
 
 
-def _emit_mt_block(slots, states, config, rr, recs, arriving, last_rel,
-                   losses):
-    """Generate, compile, and wrap the closure for one interleaving.
-
-    Same two-halves structure as :func:`_emit_block` — a compute half
-    (inside a ``try``) that walks the merged event timeline through SSA
-    locals and performs every run-time guard without mutating anything,
-    then a commit half — generalized to per-(thread, cluster) register
-    frames and per-thread end state.  The span may end with threads
-    mid-word, so the end state also materializes each thread's
-    partially issued ``pending_plans``, park flag, in-flight control,
-    advance flag, and the arbiter's round-robin resume point.
-    """
-    mem_size = config.memory_size
-    ns = {"heappush": heappush, "MemRequest": MemRequest}
-    counter = [0]
-    n = len(slots)
-
-    committed_mems = [rec for rec in arriving if rec.committed]
-    mem_tails = [rec for rec in arriving if not rec.committed]
-    use_ov = any(rec.plan.is_load for rec in committed_mems) \
-        and any(not rec.plan.is_load for rec in committed_mems)
-
-    # Same-address service windows overlapping a committed access would
-    # queue — not modelled by the bulk counters — so those pairs get a
-    # run-time distinctness check (now also across threads).
-    pairs = []
-    for i, first in enumerate(arriving):
-        if not first.committed:
-            continue
-        for second in arriving[i + 1:]:
-            if second.submit <= first.apply_c:
-                pairs.append((first, second))
-            else:
-                break
-
-    events = []
-    for rec in recs:
-        events.append((rec.t, 5, rec.rank, rec))
-        if rec.committed:
-            if rec.kind == "alu":
-                events.append((rec.ready, 1, (rec.unit_index, rec.rank),
-                               rec))
-            elif rec.kind == "mem":
-                events.append((rec.apply_c, 2, rec.arrival, rec))
-    events.sort(key=lambda event: event[:3])
-
-    compute = []
-    entry_lines = []
-    regvar = {}          # (k, cluster, index) -> current SSA local
-    entry_reads = {}
-    read_frames = set()  # (k, cluster) pairs read before first write
-    reg_commits = []     # (k, cluster, index, local) in landing order
-    addr_done = set()
-
-    def reg_read(k, cluster, index):
-        key = (k, cluster, index)
-        var = regvar.get(key)
-        if var is not None:
-            return var
-        var = entry_reads.get(key)
-        if var is None:
-            var = "e%d_%d_%d" % key
-            entry_reads[key] = var
-            read_frames.add((k, cluster))
-            entry_lines.append(
-                "%s = F%d_%dv[%d] if %d < len(F%d_%dv) else 0"
-                % (var, k, cluster, index, index, k, cluster))
-        return var
-
-    def srcs_of(rec):
-        plan = rec.plan
-        out = []
-        if plan.values_template is None:
-            return out
-        fields = {pos: (cluster, index)
-                  for pos, cluster, index in plan.src_fields}
-        for pos, baked in enumerate(plan.values_template):
-            pair = fields.get(pos)
-            if pair is not None:
-                out.append((reg_read(rec.k, pair[0], pair[1]), False))
-            else:
-                out.append(_const_expr(baked, ns, counter))
-        return out
-
-    for __, phase, __, rec in events:
-        plan = rec.plan
-        rank = rec.rank
-        if phase == 5:
-            if rec.kind == "alu":
-                rec.var = "v%d" % rank
-                compute.append("%s = %s" % (
-                    rec.var, _semantics_expr(plan, srcs_of(rec), ns,
-                                             rank)))
-            elif rec.kind == "mem":
-                srcs = srcs_of(rec)
-                if plan.is_load:
-                    base, offset = srcs[0], srcs[1]
-                else:
-                    rec.val_expr = srcs[0][0]
-                    base, offset = srcs[1], srcs[2]
-                rec.var = "a%d" % rank
-                compute.append("%s = %s + %s" % (
-                    rec.var, _int_src(base), _int_src(offset)))
-                if rec.submit <= last_rel:
-                    compute.append("if not 0 <= %s < %d:"
-                                   % (rec.var, mem_size))
-                    compute.append("    return None")
-                    if rec.committed:
-                        guard = "MQg(%s) or %s in MB" % (rec.var,
-                                                         rec.var)
-                        if not plan.is_load:
-                            guard += " or %s in MP" % rec.var
-                        compute.append("if MH and (%s):" % guard)
-                        compute.append("    return None")
-                    addr_done.add(rank)
-                    for first, second in pairs:
-                        if rec in (first, second):
-                            other = second if rec is first else first
-                            if other.rank in addr_done:
-                                compute.append(
-                                    "if %s == %s:" % (first.var,
-                                                      second.var))
-                                compute.append("    return None")
-            elif rec.kind == "bru":
-                srcs = srcs_of(rec)
-                if plan.control in ("brt", "brf"):
-                    rec.cond_var = srcs[0][0]
-                    if rec.followed:
-                        # The schedule followed an assumed direction;
-                        # bail to the interpreter when the issue-time
-                        # condition value disagrees.
-                        want_truthy = (plan.control == "brt") \
-                            == rec.assume_taken
-                        compute.append("if %s%s:" % (
-                            "not " if want_truthy else "", rec.cond_var))
-                        compute.append("    return None")
-            # sink: semantics is ``lambda a: None`` — nothing to do
-        elif phase == 1:
-            for cluster, index in plan.dest_pairs:
-                regvar[(rec.k, cluster, index)] = rec.var
-                reg_commits.append((rec.k, cluster, index, rec.var))
-        else:                            # phase 2: committed mem apply
-            if plan.is_load:
-                value = "v%d" % rank
-                rec.val_expr = value
-                if use_ov:
-                    compute.append(
-                        "%s = OV[%s] if %s in OV else MVg(%s, 0)"
-                        % (value, rec.var, rec.var, rec.var))
-                else:
-                    compute.append("%s = MVg(%s, 0)" % (value, rec.var))
-                for cluster, index in plan.dest_pairs:
-                    regvar[(rec.k, cluster, index)] = value
-                    reg_commits.append((rec.k, cluster, index, value))
-            elif use_ov:
-                compute.append("OV[%s] = %s" % (rec.var, rec.val_expr))
-
-    # ---- commit half ---------------------------------------------------
-    commit = []
-
-    grow = {}
-    used_masks = {}
-    last_landing = {}
-    for rec in recs:
-        dests = rec.plan.dest_pairs
-        if rec.kind not in ("alu", "mem") or not dests:
-            continue
-        if rec.kind == "mem" and not rec.plan.is_load:
-            continue
-        landing = rec.ready if rec.kind == "alu" else rec.apply_c
-        for cluster, index in dests:
-            key = (rec.k, cluster)
-            if index + 1 > grow.get(key, 0):
-                grow[key] = index + 1
-            if rec.committed:
-                used_masks[key] = used_masks.get(key, 0) | (1 << index)
-            triple = (rec.k, cluster, index)
-            if landing >= last_landing.get(triple, -1):
-                last_landing[triple] = landing
-    tail_masks = {}
-    for (k, cluster, index), landing in last_landing.items():
-        if landing > last_rel:
-            key = (k, cluster)
-            tail_masks[key] = tail_masks.get(key, 0) | (1 << index)
-    for k, cluster in sorted(grow):
-        need = grow[(k, cluster)]
-        commit.append("if len(F%d_%dv) < %d:" % (k, cluster, need))
-        commit.append("    F%d_%dv.extend([0] * (%d - len(F%d_%dv)))"
-                      % (k, cluster, need, k, cluster))
-    for k, cluster, index, var in reg_commits:
-        commit.append("F%d_%dv[%d] = %s" % (k, cluster, index, var))
-    for k, cluster in sorted(tail_masks):
-        commit.append("F%d_%d._invalid = %d"
-                      % (k, cluster, tail_masks[(k, cluster)]))
-    for k, cluster in sorted(used_masks):
-        commit.append("F%d_%d._used |= %d"
-                      % (k, cluster, used_masks[(k, cluster)]))
-
-    if committed_mems:
-        count = len(committed_mems)
-        commit.append("M._arrivals += %d" % count)
-        commit.append("M._seq += %d" % count)
-        commit.append("ST.memory_accesses += %d" % count)
-        for rec in committed_mems:
-            if not rec.plan.is_load:
-                commit.append("MV[%s] = %s" % (rec.var, rec.val_expr))
-                commit.append("ME.discard(%s)" % rec.var)
-            commit.append("MT[%s] = t%d" % (rec.var, rec.k))
-    for rec in mem_tails:
-        ns["p%d" % rec.rank] = rec.plan
-        ns["u%d" % rec.rank] = config.unit_by_id[rec.plan.uid]
-        if rec.plan.is_load:
-            request = "MemRequest(T%d, p%d.op, u%d, %s, spec=p%d.spec)" \
-                % (rec.k, rec.rank, rec.rank, rec.var, rec.rank)
-        else:
-            request = ("MemRequest(T%d, p%d.op, u%d, %s, store_value=%s,"
-                       " spec=p%d.spec)"
-                       % (rec.k, rec.rank, rec.rank, rec.var,
-                          rec.val_expr, rec.rank))
-        commit.append("M.submit(%s, C0 + %d)" % (request, rec.submit))
-
-    pipe_tails = [rec for rec in recs
-                  if not rec.committed
-                  and not (rec.kind == "mem" and rec.submit <= last_rel)]
-    if pipe_tails:
-        commit.append("q = node._pipe_seq")
-        commit.append("P = node._pipe")
-        for rec in pipe_tails:
-            rank = rec.rank
-            ns["p%d" % rank] = rec.plan
-            if rec.kind == "alu":
-                payload = rec.var
-            elif rec.kind == "sink":
-                payload = "None"
-            elif rec.kind == "mem":
-                ns["u%d" % rank] = config.unit_by_id[rec.plan.uid]
-                if rec.plan.is_load:
-                    payload = "MemRequest(T%d, p%d.op, u%d, %s, spec=" \
-                        "p%d.spec)" % (rec.k, rank, rank, rec.var, rank)
-                else:
-                    payload = ("MemRequest(T%d, p%d.op, u%d, %s, "
-                               "store_value=%s, spec=p%d.spec)"
-                               % (rec.k, rank, rank, rec.var,
-                                  rec.val_expr, rank))
-            else:                        # tail BRU: payload per cond
-                control = rec.plan.control
-                if control == "brt":
-                    payload = "(p%d.taken_payload if %s else " \
-                        "p%d.untaken_payload)" % (rank, rec.cond_var,
-                                                  rank)
-                elif control == "brf":
-                    payload = "(p%d.untaken_payload if %s else " \
-                        "p%d.taken_payload)" % (rank, rec.cond_var, rank)
-                else:                    # br / halt
-                    payload = "p%d.taken_payload" % rank
-            commit.append("heappush(P, (C0 + %d, %d, q + %d, T%d, p%d, "
-                          "%s))" % (rec.ready, rec.unit_index, rank + 1,
-                                    rec.k, rank, payload))
-        commit.append("node._pipe_seq = q + %d" % len(recs))
-    else:
-        commit.append("node._pipe_seq += %d" % len(recs))
-
-    unit_counts = {}
-    issued_per_thread = {}
-    for rec in recs:
-        unit_counts[rec.unit_index] = unit_counts.get(rec.unit_index,
-                                                      0) + 1
-        issued_per_thread[rec.k] = issued_per_thread.get(rec.k, 0) + 1
-    commit.append("IC = node._issued_counts")
-    for unit_index in sorted(unit_counts):
-        commit.append("IC[%d] += %d" % (unit_index,
-                                        unit_counts[unit_index]))
-    commit.append("TI = node._issued_tids")
-    for k in sorted(issued_per_thread):
-        commit.append("TI[t%d] = TI.get(t%d, 0) + %d"
-                      % (k, k, issued_per_thread[k]))
-    if losses:
-        commit.append("node._arb_losses += %d" % losses)
-    grants = sum(len(rec.plan.dest_pairs) for rec in recs
-                 if rec.committed and (rec.kind == "alu"
-                                       or (rec.kind == "mem"
-                                           and rec.plan.is_load)))
-    if grants:
-        commit.append("node._wb_grants_batch += %d" % grants)
-
-    # Per-thread end state: the span may cut threads mid-word.
-    adv_any = False
-    for state in states:
-        if state is None:
-            continue
-        k = state.k
-        commit.append("T%d.ip = %d" % (k, state.cur_ip))
-        remaining = state.pending
-        plan_names = []
-        for i, rec in enumerate(remaining):
-            pname = "w%d_%d" % (k, i)
-            ns[pname] = rec.plan
-            plan_names.append(pname)
-        commit.append("T%d.pending_plans = [%s]"
-                      % (k, ", ".join(plan_names)))
-        if state.control_inflight:
-            commit.append("T%d.control_inflight = True" % k)
-        if state.next_ip is not None:
-            # A branch resolved in-span but its advance lies beyond the
-            # span; the kernel's next _advance_plan consumes this.
-            commit.append("T%d.next_ip = %d" % (k, state.next_ip))
-        if state.parked:
-            commit.append("T%d.parked = True" % k)
-        if not remaining and not state.control_inflight:
-            commit.append("T%d.advance_ready = True" % k)
-            adv_any = True
-    if adv_any:
-        commit.append("node._adv_any = True")
-    if rr:
-        # The scan of relative cycle j starts at rotated position
-        # j % N, so after the span's last cycle the arbiter resumes
-        # past that position's tid — whoever holds it, parked or not.
-        commit.append("node.arbiter._next = TS[%d].tid + 1"
-                      % (last_rel % n))
-    commit.append("return C0 + %d" % last_rel)
-
-    # ---- assemble ------------------------------------------------------
-    body = []
-    sched = [state for state in states if state is not None]
-    for state in sched:
-        body.append("T%d = TS[%d]" % (state.k, state.k))
-        body.append("t%d = T%d.tid" % (state.k, state.k))
-    frames_needed = sorted(read_frames | set(grow))
-    for k in sorted({k for k, __ in frames_needed}):
-        body.append("F%dR = T%d.frames" % (k, k))
-    for k, cluster in frames_needed:
-        body.append("F%d_%d = F%dR.get(%d)" % (k, cluster, k, cluster))
-        if (k, cluster) in grow:
-            body.append("if F%d_%d is None:" % (k, cluster))
-            body.append("    F%d_%d = T%d.frame(%d)"
-                        % (k, cluster, k, cluster))
-            body.append("F%d_%dv = F%d_%d._values"
-                        % (k, cluster, k, cluster))
-        else:
-            body.append("F%d_%dv = F%d_%d._values "
-                        "if F%d_%d is not None else ()"
-                        % (k, cluster, k, cluster, k, cluster))
-    if committed_mems or mem_tails:
-        body.append("M = node.memory")
-    if committed_mems:
-        body.append("MV = M._values")
-        body.append("MVg = MV.get")
-        body.append("ME = M._empty")
-        body.append("MT = M._last_touch")
-        body.append("MB = M._busy")
-        body.append("MQg = M._queues.get")
-        body.append("MP = M._parked")
-        body.append("MH = 1 if (MB or M._queues or MP) else 0")
-        body.append("ST = node.stats")
-    inner = (["OV = {}"] if use_ov else []) + entry_lines + compute
-    if not inner:
-        inner = ["pass"]
-    body.append("try:")
-    body.extend("    " + line for line in inner)
-    body.append("except Exception:")
-    body.append("    return None")
-    body.extend(commit)
-    label = "+".join("%s@%d" % (slot[0].name, slot[1]) if slot else "~"
-                     for slot in slots)
-    source = "def _mtblock(node, TS, C0):\n" \
-        + "".join("    %s\n" % line for line in body)
-    code = compile(source, "<mtblock %s>" % label, "exec")
-    exec(code, ns)
-    return MTBlockPlan(n, len(recs), last_rel, ns["_mtblock"], source)
-
 # Step opcodes for the table-driven interleaved-superblock executor.
 # The compute table is a flat list of tuples walked in merged event
 # order; operands are *atoms* — ``(0, value)`` for a baked constant,
@@ -1996,20 +1600,23 @@ def _mt_resolve(atom, vals, evals):
     return evals[atom[1]]
 
 
-def _build_mt_run(slots, states, config, rr, recs, arriving, last_rel,
-                  losses):
+def _emit_mt_block(slots, states, config, rr, recs, arriving, last_rel,
+                   losses):
     """Build the table-driven executor for one interleaving.
 
-    Walks the same merged event timeline as :func:`_emit_mt_block` and
-    enforces the same two-halves discipline — a guarded compute half
-    that mutates nothing, then a commit half — but emits step *tables*
-    interpreted by a generic driver instead of generating and
+    Walks the span's merged event timeline with the same two-halves
+    discipline as :func:`_emit_block` — a guarded compute half that
+    mutates nothing, then a commit half — generalized to per-(thread,
+    cluster) register frames and per-thread end state, but emits step
+    *tables* interpreted by a generic driver instead of generating and
     ``compile()``-ing source.  A driver dispatch costs a few times a
-    closure dispatch, but the build is ~50x cheaper, which is what
+    generated closure's, but the build is ~50x cheaper, which is what
     makes fusing the long tail of alignments (hundreds per benchmark,
-    most dispatched only a handful of times) profitable at all;
-    :meth:`MTBlockPlan.promote` upgrades the few alignments hot enough
-    to amortize real codegen.
+    most dispatched only a handful of times) profitable at all.  The
+    span may end with threads mid-word, so the end state also
+    materializes each thread's partially issued ``pending_plans``, park
+    flag, in-flight control, advance flag, and the arbiter's
+    round-robin resume point.
     """
     mem_size = config.memory_size
     n = len(slots)
@@ -2300,7 +1907,7 @@ def _build_mt_run(slots, states, config, rr, recs, arriving, last_rel,
                     OV[addrs[step[1]]] = res(step[2], vals, evals)
         except Exception:
             return None
-        # ---- commit (mirrors _emit_mt_block's commit half) -----------
+        # ---- commit half -----------------------------------------------
         for fslot in range(len(frame_spec)):
             need = frame_spec[fslot][2]
             if need:
@@ -2397,4 +2004,4 @@ def _build_mt_run(slots, states, config, rr, recs, arriving, last_rel,
             node.arbiter._next = TS[rr_last].tid + 1
         return C0 + last_rel
 
-    return MTBlockPlan(n, n_recs, last_rel, _mtdrive, None)
+    return MTBlockPlan(n, n_recs, last_rel, _mtdrive)

@@ -15,9 +15,9 @@ every surviving lane stays bit-identical."""
 
 import pytest
 
-from repro import compile_program
+from repro import WatchdogError, compile_program
 from repro.experiments.paper import MODE_ORDER
-from repro.machine import baseline
+from repro.machine import baseline, unit_mix
 from repro.programs import get_benchmark
 from repro.programs.suite import BENCHMARK_ORDER
 from repro.sim import EventNode, FaultPlan, Node, make_node, run_program
@@ -211,6 +211,42 @@ class TestInterleavedFusion:
             "lud", "tpe",
             mutate=lambda c: c.with_arbitration("round-robin"))
         assert node._mt_hits > 0
+
+    def test_hot_alignment_identical(self):
+        """On figure8's one-IU one-FPU machine the coupled LUD threads
+        contend for a single IU and a single FPU, so a few alignments
+        recur far more often than on the baseline: the hottest must
+        stay bit-identical across many dispatches of one executor."""
+        def mix(config):
+            return unit_mix(1, 1).with_engine(config.engine) \
+                .with_fusion(config.fusion)
+        results = _run_all("lud", "coupled", mutate=mix)
+        _assert_four_way(results)
+        assert results["scan"].cycles == 25_110
+        node = self._fused_node("lud", "coupled", mutate=mix)
+        hottest = max(entry[3] for entry in node._mt_table.values()
+                      if entry is not None)
+        assert hottest >= 64
+
+    def test_cut_run_reports_interleaved_ladder(self):
+        """A run cut short mid-interleaving carries the fusion state in
+        its WatchdogError: the last fused span and the ladder counts."""
+        bench = get_benchmark("lud")
+        config = baseline().with_engine("event").with_fusion(True)
+        compiled = compile_program(bench.source("coupled"), config,
+                                   mode="coupled")
+        with pytest.raises(WatchdogError) as info:
+            run_program(compiled.program, config,
+                        overrides=bench.make_inputs(1), max_cycles=10_000)
+        message = str(info.value)
+        assert "superblock fusion context:" in message
+        assert "last fused dispatch: mt " in message
+        ladder = next(line for line in message.splitlines()
+                      if line.strip().startswith("interleaved ladder:"))
+        for field in ("alignments=", "builds=", "hits="):
+            assert field in ladder
+        assert "promoted" not in ladder
+        assert info.value.fusion["mt_ladder"]["hits"] > 0
 
     @pytest.mark.parametrize("pause_at", [400, 2001])
     def test_mid_span_snapshot_defuses_multithreaded(self, pause_at):

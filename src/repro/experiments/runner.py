@@ -4,7 +4,7 @@ accounting, and a *supervised* process-pool fan-out for sweep grids.
 The paper's evaluation is an embarrassingly parallel grid — benchmarks
 x modes x machine configurations, every cell independent — so
 :meth:`Harness.run_many` can dispatch cells to worker processes and
-merge their compile/run caches back into the parent.  Parallel runs
+merge their plain-data results into the parent's run cache.  Parallel runs
 are bit-identical to serial ones: each cell's result depends only on
 its (benchmark, mode, config, seed), never on scheduling order, and
 every worker derives its inputs from the same harness seed.
@@ -56,7 +56,17 @@ class RunSpec:
 
 @dataclass
 class RunResult:
-    """One benchmark x mode x machine simulation."""
+    """One benchmark x mode x machine simulation, as plain data.
+
+    A finished cell carries what the tables, figures and ``repro
+    bench`` read — cycles, utilization, statistics and timings — but
+    neither the live simulation nor the compiled program (callers get
+    that from :meth:`Harness.compile`).  The reference check runs on
+    the live simulation before this is built.  Fresh, pooled,
+    batch-lane and journal-replayed cells share this shape, so a
+    pooled cell pickles back in a few kilobytes.  ``verified`` is True
+    only when the reference check ran (``Harness(check=False)`` skips
+    it)."""
 
     benchmark: str
     mode: str
@@ -64,8 +74,6 @@ class RunResult:
     cycles: int
     utilization: dict               # unit-class name -> ops/cycle
     stats: object
-    compiled: object
-    sim: object
     verified: bool
     wall_seconds: float = 0.0       # simulation wall clock
     compile_seconds: float = 0.0    # compilation wall clock (0 on hit)
@@ -197,7 +205,18 @@ class Harness:
                           fast_forward=self.fast_forward,
                           sanitize=self.sanitize)
         wall_seconds = time.perf_counter() - started
-        verified = True
+        result = self._finish(bench, sim, inputs, benchmark, mode, config,
+                              seed, wall_seconds=wall_seconds,
+                              compile_seconds=compile_seconds,
+                              cache_hit=cache_hit)
+        self._runs[key] = result
+        return result
+
+    def _finish(self, bench, sim, inputs, benchmark, mode, config, seed,
+                **fields):
+        """Check a live simulation result against the benchmark's
+        reference (when ``self.check``), then reduce it to a plain
+        :class:`RunResult` — the live ``sim`` is dropped here."""
         if self.check:
             problems = bench.check(sim, inputs)
             if problems:
@@ -206,14 +225,9 @@ class Harness:
                     signature=run_key_digest(
                         config.run_signature())[:12],
                     seed=self.seed if seed is None else seed)
-        result = RunResult(benchmark, mode, config, sim.cycles,
-                           sim.stats.utilization_table(), sim.stats,
-                           compiled, sim, verified,
-                           wall_seconds=wall_seconds,
-                           compile_seconds=compile_seconds,
-                           cache_hit=cache_hit)
-        self._runs[key] = result
-        return result
+        return RunResult(benchmark, mode, config, sim.cycles,
+                         sim.stats.utilization_table(), sim.stats,
+                         self.check, **fields)
 
     # -- supervised fan-out ----------------------------------------------
 
@@ -226,9 +240,9 @@ class Harness:
         ``specs`` is an iterable of :class:`RunSpec` or
         ``(benchmark, mode[, config[, tag[, seed]]])`` tuples.
         ``workers`` <= 1 (or None) runs serially in-process; otherwise
-        a process pool of that size is used and each worker's compile
-        and run results are merged back into this harness's caches, so
-        subsequent :meth:`run` calls hit.  Falls back to serial
+        a process pool of that size is used and each worker's result is
+        merged into this harness's run cache, so subsequent :meth:`run`
+        calls of those cells hit.  Falls back to serial
         execution when process pools are unavailable.  Results come
         back in spec order and are bit-identical to a serial run.
 
@@ -292,7 +306,7 @@ class Harness:
 
         def on_lane_complete(cell, outcome):
             if outcome.ok:
-                self._absorb(cell.key, outcome)
+                self._runs[cell.key] = outcome
                 if journal is not None:
                     journal.record_ok(run_key_digest(cell.key),
                                       _journal_record(outcome))
@@ -441,21 +455,9 @@ class Harness:
                                      lanes=outcome.lanes,
                                      peeled_lanes=peeled)
                 else:
-                    verified = True
-                    if self.check:
-                        problems = bench.check(sim, lane_inputs[lane])
-                        if problems:
-                            raise VerificationError(
-                                spec.benchmark, spec.mode, config.name,
-                                problems,
-                                signature=run_key_digest(
-                                    config.run_signature())[:12],
-                                seed=self.seed if spec.seed is None
-                                else spec.seed)
-                    result = RunResult(
-                        spec.benchmark, spec.mode, config, sim.cycles,
-                        sim.stats.utilization_table(), sim.stats,
-                        compiled, sim, verified,
+                    result = self._finish(
+                        bench, sim, lane_inputs[lane], spec.benchmark,
+                        spec.mode, config, spec.seed,
                         wall_seconds=wall_share,
                         compile_seconds=compile_share,
                         cache_hit=cache_hit, backend="batch",
@@ -526,7 +528,7 @@ class Harness:
                                   "defuse_reasons"),
                               quarantined_blocks=record.get(
                                   "quarantined_blocks", 0)),
-                None, None, record.get("verified", True),
+                record.get("verified", True),
                 wall_seconds=record.get("wall_seconds", 0.0),
                 compile_seconds=record.get("compile_seconds", 0.0),
                 cache_hit=record.get("cache_hit", False),
@@ -534,7 +536,7 @@ class Harness:
                 backend=record.get("backend", "scalar"),
                 lanes=record.get("lanes", 1),
                 peeled_lanes=record.get("peeled_lanes", 0))
-            self._absorb(key, result)
+            self._runs[key] = result
 
     @staticmethod
     def _coerce_spec(spec):
@@ -547,14 +549,6 @@ class Harness:
             else None
         return (self.seed, self.check, self.max_cycles,
                 self.fast_forward, cache_root, self.sanitize)
-
-    def _absorb(self, key, result):
-        """Merge one worker result into the run and compile caches."""
-        self._runs[key] = result
-        if result.compiled is not None:
-            ckey = (result.benchmark, result.mode,
-                    result.config.schedule_signature())
-            self._compiled.setdefault(ckey, result.compiled)
 
 
 def _journal_record(result):

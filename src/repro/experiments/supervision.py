@@ -30,10 +30,11 @@ the harness composes:
   ``MachineConfig.run_signature()``).  Every completed cell — ok or
   failed — is journaled as soon as it finishes, so
   ``run_many(..., journal=path)`` after a kill replays the completed
-  cells from disk and re-runs only the remainder.  Replayed results
-  are bit-identical in everything the journal records (cycles,
-  statistics, utilization); only the live ``sim``/``compiled`` handles
-  are absent (``RunResult.replayed`` is True).
+  cells from disk and re-runs only the remainder.  A replayed result
+  has the same plain-data shape as a fresh one and matches it in
+  everything the journal records (cycles, statistics, utilization,
+  ``verified``); its ``stats`` is a :class:`ReplayedStats` and its
+  ``replayed`` flag is True.
 
 The ``REPRO_CHAOS_WORKER`` environment flag (test/CI only) makes a
 worker kill or hang itself mid-cell; see :func:`chaos_if_requested`.

@@ -1,6 +1,8 @@
 """Experiment harness plumbing: report rendering, runner caching, CLI."""
 
+import dataclasses
 import io
+import pickle
 
 import pytest
 
@@ -8,7 +10,7 @@ from repro.experiments import paper, table2
 from repro.experiments.cli import main as experiments_main
 from repro.experiments.report import (format_bar_chart, format_grid,
                                       format_table)
-from repro.experiments.runner import Harness, RunSpec
+from repro.experiments.runner import Harness, RunResult, RunSpec
 from repro.machine import baseline
 from repro.sim.faults import FaultEvent, FaultPlan
 
@@ -60,7 +62,11 @@ class TestHarnessCaching:
         b = harness.run("matrix", "seq",
                         config.with_interconnect("tri-port"))
         assert a is not b
-        assert a.compiled is b.compiled   # same schedule signature
+        # Same schedule signature: one compilation serves both.
+        assert harness.compile("matrix", "seq", config) is \
+            harness.compile("matrix", "seq",
+                            config.with_interconnect("tri-port"))
+        assert b.cache_hit
 
     def test_inputs_stable_per_benchmark(self):
         harness = Harness(seed=3)
@@ -69,6 +75,19 @@ class TestHarnessCaching:
     def test_validation_runs_by_default(self):
         result = Harness().run("model", "seq", baseline())
         assert result.verified
+
+    def test_unchecked_run_is_not_verified(self, tmp_path):
+        # Regression: verified used to be True even when check=False
+        # skipped the reference check, and the journal kept the lie.
+        assert not Harness(check=False).run("matrix", "seq").verified
+        path = str(tmp_path / "sweep.jsonl")
+        specs = [RunSpec("matrix", "seq"), RunSpec("matrix", "coupled")]
+        fresh = Harness(check=False, compile_cache=False) \
+            .run_many(specs, journal=path)
+        replayed = Harness(check=False, compile_cache=False) \
+            .run_many(specs, journal=path)
+        assert all(r.replayed for r in replayed)
+        assert [r.verified for r in fresh + replayed] == [False] * 4
 
     def test_fault_plan_participates_in_run_key(self):
         # Regression: the run cache used to key on (benchmark, mode,
@@ -127,6 +146,19 @@ class TestRunMany:
         # Worker results landed in the parent caches: a repeat is a hit.
         assert harness.run("matrix", "seq") is batch[0]
         assert harness.run("matrix", "coupled") is batch[1]
+
+    def test_pooled_results_are_plain_data(self):
+        # A finished cell carries no live simulation or compiled
+        # program, so the pool ships back kilobytes per cell, not
+        # lud's memory image.
+        fields = {f.name for f in dataclasses.fields(RunResult)}
+        assert not fields & {"sim", "compiled"}
+        harness = Harness()
+        batch = harness.run_many([RunSpec("lud", "coupled"),
+                                  RunSpec("matrix", "seq")], workers=2)
+        assert batch[0].verified
+        size = len(pickle.dumps(batch[0], pickle.HIGHEST_PROTOCOL))
+        assert size < 16 * 1024
 
 
 class TestTable2Module:

@@ -41,8 +41,19 @@ from ..errors import SimulationError
 from .function_unit import WritebackEntry
 from .memory import MemRequest
 from .node import Node, SimResult
-from .predecode import _WARMUP_DISPATCHES, compile_mt_run, decode_program
+from .predecode import (_entry_points, build_block, compile_mt_run,
+                        decode_program)
 from .thread import DONE
+
+#: A single-thread run is built only once the kernel has reached its
+#: entry this many times with every dispatch guard holding.  Building
+#: a block costs a few hundred microseconds per operation (codegen +
+#: CPython ``compile``) while a dispatch saves a few microseconds per
+#: operation, so break-even sits at a few dozen dispatches; entries
+#: reached once (straight-line cold code, "ideal"-mode megablocks) or
+#: only a handful of times never pay the build, while hot loop headers
+#: cross the threshold early in their trip count.
+_WARMUP_DISPATCHES = 16
 
 #: Interleaved fusion caps the alignment width: the compile cost and
 #: closure size grow with the thread count, while the probability of
@@ -110,9 +121,17 @@ class EventNode(Node):
         # writeback), and no observer expecting per-issue callbacks.
         self._fusion = (getattr(config, "fusion", True)
                         and self._direct_wb and observer is None)
+        # Fusion admission state.  Not snapshot state: builds are
+        # deterministic, so a restored node just re-warms its tables.
+        # Single-thread superblocks (see _try_fuse): per program, entry
+        # ip -> BlockPlan, or None for a word that is not an entry or
+        # whose run is too small to fuse; warmup heat per (program, ip);
+        # and each program's entry-point set, scanned on first sight.
+        self._st_blocks = {}
+        self._st_heat = {}
+        self._st_entries = {}
         # Interleaved superblocks, keyed by runnable-set alignment (see
-        # _try_fuse_mt).  Not snapshot state: compilation is
-        # deterministic, so a restored node just re-warms its table.
+        # _try_fuse_mt).
         self._mt_table = {}
         self._mt_heat = {}
         self._mt_retried = set()
@@ -159,8 +178,7 @@ class EventNode(Node):
     # -- program load ----------------------------------------------------
 
     def _prepare(self, program):
-        self._decoded = decode_program(program, self._unit_index,
-                                       self.config)
+        self._decoded = decode_program(program, self._unit_index)
 
     def spawn(self, thread_program, bindings=(), priority=None):
         thread = super().spawn(thread_program, bindings, priority)
@@ -761,14 +779,19 @@ class EventNode(Node):
         if thread.parked or thread.control_inflight:
             return None
         decoded = thread.decoded
-        if decoded is None or decoded.blocks is None:
+        if decoded is None:
             return None
         ip = thread.ip
         reasons = self.stats.defuse_reasons
         if self._quarantined and (decoded.name, ip) in self._quarantined:
             reasons["quarantined"] += 1
             return None
-        block = decoded.blocks.get(ip)
+        blocks = self._st_blocks.get(decoded.name)
+        if blocks is None:
+            blocks = self._st_blocks[decoded.name] = {}
+        block = blocks.get(ip, False)
+        if block is False:
+            block = self._admit_block(decoded, ip, blocks)
         if block is None:
             return None
         if len(thread.pending_plans) != block.n_plans:
@@ -814,6 +837,27 @@ class EventNode(Node):
             if log is not None:
                 log.append((decoded.name, ip))
         return end
+
+    def _admit_block(self, decoded, ip, blocks):
+        """First sightings of word ``ip``: pin a non-entry word to None
+        at once, warm an entry up for :data:`_WARMUP_DISPATCHES`
+        dispatches, then build its block (None when too small to fuse)
+        and keep it in ``blocks``.  Returns the block, or None."""
+        name = decoded.name
+        entries = self._st_entries.get(name)
+        if entries is None:
+            entries = self._st_entries[name] = _entry_points(decoded.words)
+        if ip not in entries:
+            blocks[ip] = None
+            return None
+        key = (name, ip)
+        heat = self._st_heat.get(key, 0) + 1
+        if heat < _WARMUP_DISPATCHES:
+            self._st_heat[key] = heat
+            return None
+        del self._st_heat[key]
+        block = blocks[ip] = build_block(decoded, ip, self.config)
+        return block
 
     def _try_fuse_mt(self, cycle, max_cycles, watchdog_cycles, pause_at):
         """Dispatch a compiled interleaved superblock over the current
@@ -1013,27 +1057,18 @@ class EventNode(Node):
 
     def quarantine_block(self, name, entry_ip):
         """Bar the superblock entered at (program ``name``, word
-        ``entry_ip``) from fused dispatch, permanently: the single-
-        thread entry is tombstoned in its BlockTable and every compiled
-        interleaved alignment scheduling that entry goes inert.  The
-        simulation continues un-fused over that span instead of dying —
-        the sanitizer's graceful de-optimization.  Idempotent; returns
-        True when the entry was newly quarantined.
+        ``entry_ip``) from fused dispatch, permanently: both dispatchers
+        test the quarantine set before any table lookup, so neither the
+        single-thread block nor any interleaved alignment scheduling
+        that entry dispatches again.  The simulation continues un-fused
+        over that span instead of dying — the sanitizer's graceful
+        de-optimization.  Idempotent; returns True when the entry was
+        newly quarantined.
         """
         key = (name, entry_ip)
         if key in self._quarantined:
             return False
         self._quarantined.add(key)
-        if self._decoded is not None:
-            decoded = self._decoded.get(name)
-            if decoded is not None and decoded.blocks is not None:
-                decoded.blocks.quarantine(entry_ip)
-        for mkey in list(self._mt_table):
-            for part in mkey:
-                if part is not None and part[0] == name \
-                        and part[1] == entry_ip:
-                    self._mt_table[mkey] = None
-                    break
         self.stats.quarantined_blocks = len(self._quarantined)
         return True
 

@@ -256,22 +256,21 @@ class WordPlan:
 
 
 class DecodedThread:
-    """The predecoded form of one thread program.
+    """The predecoded form of one thread program: plain immutable data.
 
-    ``blocks`` maps superblock entry word indexes to compiled
-    :class:`BlockPlan` closures (None when fusion was not requested at
-    decode time).
+    Fusion state (block heat, compiled superblocks, quarantine) lives
+    on the kernel that dispatches them, never here, so one decoded
+    program can be shared by any number of nodes and snapshots.
     """
 
-    __slots__ = ("name", "words", "blocks")
+    __slots__ = ("name", "words")
 
-    def __init__(self, name, words, blocks=None):
+    def __init__(self, name, words):
         self.name = name
         self.words = tuple(words)
-        self.blocks = blocks
 
 
-def decode_program(program, unit_index, config=None):
+def decode_program(program, unit_index):
     """Predecode every thread of ``program``.
 
     ``unit_index`` maps unit ids to their position in the node's unit
@@ -279,12 +278,7 @@ def decode_program(program, unit_index, config=None):
     Assumes the program already passed
     :func:`~repro.sim.loader.validate_program` against the same
     machine (every uid present, no empty words).
-
-    When ``config`` is given and its ``fusion`` toggle is on, each
-    thread's straight-line runs are additionally compiled into
-    :class:`BlockPlan` superblocks (see :func:`compile_blocks`).
     """
-    fuse = config is not None and getattr(config, "fusion", True)
     decoded = {}
     for name, thread_program in program.threads.items():
         words = []
@@ -295,10 +289,7 @@ def decode_program(program, unit_index, config=None):
                 raise SimulationError("thread %r word %d is empty"
                                       % (name, index))
             words.append(WordPlan(plans))
-        thread = DecodedThread(name, words)
-        if fuse:
-            thread.blocks = compile_blocks(thread, config)
-        decoded[name] = thread
+        decoded[name] = DecodedThread(name, words)
     return decoded
 
 
@@ -309,12 +300,13 @@ def decode_program(program, unit_index, config=None):
 # A *superblock* is a maximal straight-line run of instruction words —
 # no branch-unit slots except an optional terminal one, no
 # synchronizing or miss-capable memory operations — whose intra-run
-# dependences the static scheduler below can resolve exactly.  Each run
-# is compiled, at decode time, into one specialized Python closure (a
-# :class:`BlockPlan`) that replays the event kernel's entire
-# cycle-by-cycle execution of the run in a single call: operand flow
-# through flat SSA locals, per-run cycle cost precomputed, statistics
-# and memory effects committed in bulk.
+# dependences the static scheduler below can resolve exactly.  Once the
+# event kernel has reached a run's entry often enough (see
+# ``EventNode._try_fuse``), the run is compiled into one specialized
+# Python closure (a :class:`BlockPlan`) that replays the event kernel's
+# entire cycle-by-cycle execution of the run in a single call: operand
+# flow through flat SSA locals, per-run cycle cost precomputed,
+# statistics and memory effects committed in bulk.
 #
 # The closure is only entered when the kernel's guards hold (single
 # runnable thread, fully connected interconnect, no fault plan, every
@@ -442,101 +434,18 @@ def _build_run(words, start, mem_ok):
     return run
 
 
-#: A run is compiled only once the kernel has reached its entry this
-#: many times with every dispatch guard holding.  Compiling a block
-#: costs a few hundred microseconds per operation (codegen + CPython
-#: ``compile``) while a dispatch saves a few microseconds per
-#: operation, so break-even sits at a few dozen dispatches; entries
-#: reached once (straight-line cold code, "ideal"-mode megablocks) or
-#: only a handful of times never pay the compile, while hot loop
-#: headers cross the threshold early in their trip count.
-_WARMUP_DISPATCHES = 16
-
-
-class BlockTable:
-    """Lazy superblock compiler for one decoded thread.
-
-    Entry points are discovered eagerly (cheap), but a run is scheduled
-    and compiled only once the kernel has dispatched at its entry
-    :data:`_WARMUP_DISPATCHES` times — most entries are never reached
-    with the machine in a fusible state (or reached exactly once), and
-    eager compilation was measurably slower than interpreting short
-    benchmarks outright.  Compilation is deterministic, so the cache
-    can be shared freely between a node, its snapshots, and restored
-    copies; pickling drops the cache and recompiles on demand (closures
-    do not cross process boundaries).
-    """
-
-    __slots__ = ("_decoded", "_config", "_entries", "_mem_ok", "_cache",
-                 "_heat")
-
-    def __init__(self, decoded, config):
-        # Nothing here may touch ``decoded``: it is mid-reconstruction
-        # when a pickle rebuilds the decoded-thread <-> block-table
-        # cycle.  Entry discovery happens on first dispatch instead.
-        self._decoded = decoded
-        self._config = config
-        self._mem_ok = None
-        self._entries = None
-        self._cache = {}
-        self._heat = {}
-
-    def get(self, ip):
-        block = self._cache.get(ip, False)
-        if block is not False:
-            return block
-        if self._entries is None:
-            self._mem_ok = self._config.memory.miss_rate == 0.0
-            self._entries = _entry_points(self._decoded.words)
-        if ip not in self._entries:
-            self._cache[ip] = None
-            return None
-        heat = self._heat.get(ip, 0) + 1
-        if heat < _WARMUP_DISPATCHES:
-            self._heat[ip] = heat
-            return None
-        block = None
-        words = self._decoded.words
-        if ip < len(words):
-            run = _build_run(words, ip, self._mem_ok)
-            if run is not None:
-                block = _compile_run(self._decoded.name, ip, run,
-                                     self._config)
-        self._cache[ip] = block
-        return block
-
-    def compiled_blocks(self):
-        """The blocks compiled so far (diagnostics and tests)."""
-        return {ip: block for ip, block in self._cache.items()
-                if block is not None}
-
-    def quarantine(self, ip):
-        """Bar the entry at ``ip`` from ever dispatching again.
-
-        Pinning the cache slot to None makes the quarantine free on the
-        hot path (the same lookup that would have found the block finds
-        the tombstone) and — because snapshots share the table — it
-        survives the sanitizer's rollback/restore cycle without being
-        re-applied.  Pickling still drops it along with the rest of the
-        cache: a replayed bundle re-detects and re-quarantines, which
-        is exactly what a reproducer is for.
-        """
-        self._cache[ip] = None
-        self._heat.pop(ip, None)
-
-    def __deepcopy__(self, memo):
-        # Compilation is deterministic and closures never carry run
-        # state, so snapshots share the table with the live node.
-        return self
-
-    def __reduce__(self):
-        return (BlockTable, (self._decoded, self._config))
-
-
-def compile_blocks(decoded, config):
-    """A lazy :class:`BlockTable` over every fusible run of
-    ``decoded``, keyed by entry word index."""
-    return BlockTable(decoded, config)
+def build_block(decoded, ip, config):
+    """The :class:`BlockPlan` for the fusible run entered at word
+    ``ip`` of ``decoded``, or None when the run there is too small to
+    fuse.  A pure function of its arguments: the kernel decides when a
+    build pays (see ``EventNode._try_fuse``) and keeps the result."""
+    words = decoded.words
+    if ip >= len(words):
+        return None
+    run = _build_run(words, ip, config.memory.miss_rate == 0.0)
+    if run is None:
+        return None
+    return _compile_run(decoded.name, ip, run, config)
 
 
 def _int_src(src):

@@ -24,12 +24,13 @@ This module makes it checkable *during* any run, in three tiers:
 
 3. **Triage and graceful de-optimization** — on any trip the suspect
    superblock entries are quarantined (:meth:`EventNode.
-   quarantine_block` tombstones them in the BlockTable), the run rolls
-   back to the last verified snapshot and continues *un-fused over
-   those spans* instead of dying.  A structured :class:`SanitizerReport`
-   and a replayable reproducer bundle (``Node.snapshot`` + config +
-   seed; see :func:`write_bundle`) are extracted on the first trip;
-   ``repro replay <bundle>`` re-executes it deterministically.
+   quarantine_block` adds them to the set both fused dispatchers test
+   first), the run rolls back to the last verified snapshot and
+   continues *un-fused over those spans* instead of dying.  A
+   structured :class:`SanitizerReport` and a replayable reproducer
+   bundle (``Node.snapshot`` + config + seed; see
+   :func:`write_bundle`) are extracted on the first trip; ``repro
+   replay <bundle>`` re-executes it deterministically.
 
 The sanitizer is opt-in and engine-neutral: an unsanitized run pays
 one ``is None`` test per cycle, and a sanitized run that never trips
@@ -743,8 +744,8 @@ def write_bundle(report, snapshot, policy, max_cycles, watchdog_cycles):
     """Extract a replayable reproducer: ``meta.json`` (report, seed,
     cycle budgets, level) plus the pickled ``Node.snapshot``.  Returns
     the bundle directory path.  Snapshots pickle cleanly because
-    ``BlockTable.__reduce__`` drops compiled closures and recompiles
-    lazily on the replaying side."""
+    compiled superblocks are not snapshot state: the replaying node
+    re-warms and rebuilds them."""
     base = os.path.join(policy.report_dir,
                         "%s-%s-cycle%d" % (report.program, report.kind,
                                            report.cycle))
@@ -864,15 +865,9 @@ def replay_bundle(path, out=None, max_cycles=None, trace=False):
 
 def run_sanitized(program, config, overrides=None, max_cycles=5_000_000,
                   watchdog_cycles=None, fast_forward=True, observer=None,
-                  policy="audit", tamper=None):
+                  policy="audit"):
     """Run ``program`` under the sanitizer; same contract and results
-    as :func:`~repro.sim.node.run_program` unless a tier trips.
-
-    ``tamper`` is a test hook: called with the primary node after its
-    first cycle, before shadow stepping begins — tests use it to plant
-    a deliberately miscompiled superblock and prove the shadow tier
-    catches, quarantines, and reports it.
-    """
+    as :func:`~repro.sim.node.run_program` unless a tier trips."""
     policy = coerce_policy(policy)
     if policy is None:
         node = make_node(config, observer=observer,
@@ -902,7 +897,7 @@ def run_sanitized(program, config, overrides=None, max_cycles=5_000_000,
         return result
     return _run_shadowed(program, config, overrides, max_cycles,
                          watchdog_cycles, fast_forward, observer,
-                         policy, summary, primary, auditor, tamper)
+                         policy, summary, primary, auditor)
 
 
 def _attach_invariant_bundle(exc, node, policy, summary, max_cycles,
@@ -952,7 +947,7 @@ def _restore_node(snap, config, observer=None):
 
 def _run_shadowed(program, config, overrides, max_cycles,
                   watchdog_cycles, fast_forward, observer, policy,
-                  summary, primary, auditor, tamper):
+                  summary, primary, auditor):
     shadow_config = config.with_fusion(False)
     shadow = make_node(shadow_config, fast_forward=fast_forward)
     stride = policy.shadow_stride
@@ -960,25 +955,29 @@ def _run_shadowed(program, config, overrides, max_cycles,
     primary._dispatch_log = dispatch_log
     quarantined = set()
     defused = False
-    p_started = s_started = False
 
-    def step(node, bound, started):
-        if started:
-            return node.resume(max_cycles=max_cycles,
-                               watchdog_cycles=watchdog_cycles,
-                               pause_at=bound)
-        return node.run(program, overrides=overrides,
-                        max_cycles=max_cycles,
-                        watchdog_cycles=watchdog_cycles, pause_at=bound)
+    def step(node, bound):
+        return node.resume(max_cycles=max_cycles,
+                           watchdog_cycles=watchdog_cycles, pause_at=bound)
 
-    if tamper is not None:
-        rp = step(primary, 1, False)
-        rs = step(shadow, 1, False)
-        p_started = s_started = True
-        tamper(primary)
-        if rp is not None and rs is not None:
-            rp.sanitizer = summary
-            return rp
+    # Load the program and step both kernels one cycle before the first
+    # checkpoint: a snapshot taken before run() holds no program, so a
+    # trip in the first window could neither roll back to it nor
+    # bundle it for replay.  No block is warm yet, so the first cycle
+    # cannot fuse and both kernels agree on it by construction.
+    try:
+        rp = primary.run(program, overrides=overrides,
+                         max_cycles=max_cycles,
+                         watchdog_cycles=watchdog_cycles, pause_at=1)
+    except InvariantViolation as exc:
+        _attach_invariant_bundle(exc, primary, policy, summary,
+                                 max_cycles, watchdog_cycles)
+        raise
+    rs = shadow.run(program, overrides=overrides, max_cycles=max_cycles,
+                    watchdog_cycles=watchdog_cycles, pause_at=1)
+    if rp is not None and rs is not None:
+        rp.sanitizer = summary
+        return rp
 
     while True:
         last_good = primary.snapshot()
@@ -988,15 +987,13 @@ def _run_shadowed(program, config, overrides, max_cycles,
         rp = rs = None
         p_exc = s_exc = None
         try:
-            rp = step(primary, boundary, p_started)
+            rp = step(primary, boundary)
         except SimulationError as exc:
             p_exc = exc
-        p_started = True
         try:
-            rs = step(shadow, boundary, s_started)
+            rs = step(shadow, boundary)
         except SimulationError as exc:
             s_exc = exc
-        s_started = True
         summary.shadow_checks += 1
         if p_exc is None and s_exc is None:
             mismatch = diff_components(primary, shadow)

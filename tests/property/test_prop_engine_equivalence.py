@@ -273,6 +273,55 @@ class TestInterleavedFusion:
         _assert_identical(reference, node.resume(), "resumed")
 
 
+#: Figure 8 cells (LUD Coupled, IU x FPU unit mix) on which interleaved
+#: fusion disagrees with the reference kernels: (reference, fused)
+#: cycles.  Disabling only the interleaved dispatcher restores the
+#: reference counts, so the interleaved executor is at fault.  The
+#: golden ledger still pins the fused values until it is regenerated.
+MT_DIVERGENT_CELLS = {
+    (2, 2): (18_659, 18_669),
+    (2, 4): (17_089, 17_092),
+    (3, 1): (17_248, 17_280),
+    (3, 2): (15_523, 15_528),
+}
+
+
+def _lud_coupled_on_mix(mix, select):
+    bench = get_benchmark("lud")
+    config = unit_mix(*mix)
+    compiled = compile_program(bench.source("coupled"), config,
+                               mode="coupled")
+    return run_program(compiled.program, select(config),
+                       overrides=bench.make_inputs(1))
+
+
+class TestInterleavedFusionDivergence:
+    """Pins a known defect of the interleaved executor: the scan kernel
+    and the unfused event kernel agree on these cells, and the fused
+    kernel does not.  The strict xfail turns a fix into a failure, so
+    the fix has to update this table and the golden ledger with it."""
+
+    @pytest.mark.parametrize("mix", sorted(MT_DIVERGENT_CELLS),
+                             ids=lambda mix: "%dx%d" % mix)
+    def test_reference_kernels_agree(self, mix):
+        reference = MT_DIVERGENT_CELLS[mix][0]
+        scan = _lud_coupled_on_mix(mix, lambda c: c.with_engine("scan"))
+        event = _lud_coupled_on_mix(mix, lambda c: c.with_fusion(False))
+        assert scan.cycles == event.cycles == reference
+        assert scan.stats.summary() == event.stats.summary()
+
+    @pytest.mark.parametrize("mix", [
+        pytest.param(mix, id="%dx%d" % mix, marks=pytest.mark.xfail(
+            strict=True,
+            reason="interleaved fusion runs LUD Coupled on the %dx%d "
+                   "mix in %d cycles, not the reference %d"
+                   % (mix + MT_DIVERGENT_CELLS[mix][::-1])))
+        for mix in sorted(MT_DIVERGENT_CELLS)])
+    def test_fused_matches_reference(self, mix):
+        fused = _lud_coupled_on_mix(mix, lambda c: c.with_fusion(True))
+        assert fused.cycles == MT_DIVERGENT_CELLS[mix][0]
+
+
 class TestPauseClampBoundary:
     """The pause clamp is exact, for both dispatch paths: a superblock
     whose last simulated cycle is ``pause_at - 1`` still fuses, while

@@ -10,9 +10,9 @@ import os
 import pytest
 
 from repro import compile_program
-from repro.machine import baseline
+from repro.machine import baseline, unit_mix
 from repro.programs import get_benchmark
-from repro.sim import run_program
+from repro.sim import predecode, run_program
 from repro.sim.sanitize import SanitizerPolicy, replay_bundle, run_sanitized
 
 #: Cells covering ST fusion (lud/seq), MT interleaved fusion
@@ -44,57 +44,62 @@ def test_deep_sanitized_run_is_bit_identical(bench_name, mode):
         assert sanitized.sanitizer.shadow_checks > 0
 
 
-def _tamper_all_blocks(state):
-    """A run_sanitized tamper hook wrapping every compiled superblock
-    so each successful span also corrupts memory word 0 — the model of
-    a miscompiled block whose spans silently drift from the reference.
+def _tamper_all_blocks(monkeypatch):
+    """Wrap the single-thread block builder so that every block it
+    builds also corrupts memory word 0 on each successful span — a
+    deterministic miscompile: a block rebuilt after a rollback, or on
+    a bundle's replaying node, is as wrong as the first build, so only
+    quarantine recovers the run.  Returns the (program, entry ip) list
+    of blocks built so far.
     """
-    def tamper(node):
-        thread = node.active[0]
-        table = node._decoded[thread.name].blocks
-        for ip in sorted(table._entries):
-            table._heat[ip] = 10 ** 9        # force past warmup
-            block = table.get(ip)
-            if block is None:
-                continue
-            real = block.fn
+    real_compile = predecode._compile_run
+    wrapped = []
 
-            def corrupt(*args, _real=real, _node=node, **kwargs):
-                out = _real(*args, **kwargs)
-                values = _node.memory._values
+    def compile_corrupt(thread_name, start, run, config):
+        block = real_compile(thread_name, start, run, config)
+        if block is None:
+            return None
+        real = block.fn
+
+        def corrupt(node, thread, cycle):
+            out = real(node, thread, cycle)
+            if out is not None:
+                values = node.memory._values
                 values[0] = values.get(0, 0) + 999
-                return out
+            return out
 
-            block.fn = corrupt
-            state["wrapped"].append((thread.name, ip))
-    return tamper
+        block.fn = corrupt
+        wrapped.append((thread_name, start))
+        return block
+
+    monkeypatch.setattr(predecode, "_compile_run", compile_corrupt)
+    return wrapped
 
 
 class TestMiscompiledBlock:
-    def _run(self, tmp_path):
+    @pytest.fixture()
+    def run(self, tmp_path, monkeypatch):
         bench, compiled, config, inputs = _cell("lud", "seq")
         reference = run_program(compiled.program,
                                 config.with_fusion(False),
                                 overrides=inputs)
-        state = {"wrapped": []}
+        wrapped = _tamper_all_blocks(monkeypatch)
         policy = SanitizerPolicy(level="shadow",
                                  report_dir=str(tmp_path))
         result = run_sanitized(compiled.program, config,
-                               overrides=inputs, policy=policy,
-                               tamper=_tamper_all_blocks(state))
-        assert state["wrapped"], "tamper hook found no blocks"
-        return reference, result, state
+                               overrides=inputs, policy=policy)
+        assert wrapped, "the tampered builder built no blocks"
+        return reference, result, wrapped
 
-    def test_detected_quarantined_and_bit_identical(self, tmp_path):
-        reference, result, state = self._run(tmp_path)
+    def test_detected_quarantined_and_bit_identical(self, run):
+        reference, result, wrapped = run
         summary = result.sanitizer
         # Tier 2 tripped and triaged instead of dying or silently
         # completing wrong.
         assert summary.trips >= 1
         assert summary.requarantines >= 1
         assert summary.quarantined
-        wrapped = set(state["wrapped"])
-        assert set(map(tuple, summary.quarantined)) <= wrapped
+        assert set(map(tuple, summary.quarantined)) <= set(wrapped)
         # Graceful de-optimization: the corrupted spans are barred and
         # the run completes bit-identical to the unfused event kernel.
         assert result.cycles == reference.cycles
@@ -105,8 +110,8 @@ class TestMiscompiledBlock:
         assert result.stats.quarantined_blocks == len(summary.quarantined)
         assert result.stats.defuse_reasons.get("quarantined", 0) > 0
 
-    def test_trip_writes_replayable_bundle(self, tmp_path):
-        __, result, __ = self._run(tmp_path)
+    def test_trip_writes_replayable_bundle(self, run):
+        __, result, __ = run
         summary = result.sanitizer
         assert len(summary.reports) == 1
         bundle = summary.reports[0]
@@ -117,15 +122,14 @@ class TestMiscompiledBlock:
         assert report["suspects"]
         assert report["window"][1] > report["window"][0]
         # Replay restores the pre-divergence snapshot and re-runs
-        # fused vs unfused.  This tamper corrupts closures in memory
-        # only — pickling recompiles them clean — so the honest
-        # verdict is "not reproduced"; a deterministic miscompile
-        # (the real target) would reproduce.
+        # fused vs unfused.  The replaying node rebuilds its blocks
+        # through the same miscompiling builder, so the divergence
+        # reproduces.
         lines = []
         verdict = replay_bundle(bundle, out=lines.append)
         assert verdict["kind"] == "divergence"
-        assert verdict["reproduced"] is False
-        assert any("not reproduced" in line for line in lines)
+        assert verdict["reproduced"] is True
+        assert any(line.startswith("reproduced") for line in lines)
 
 
 def test_shadow_mode_without_fusion_still_audits():
@@ -140,3 +144,28 @@ def test_shadow_mode_without_fusion_still_audits():
     assert result.sanitizer.shadow_checks == 0
     assert result.sanitizer.audits > 0
     assert result.sanitizer.trips == 0
+
+
+def test_first_window_trip_rolls_back_to_a_loaded_program(tmp_path):
+    # Interleaved fusion diverges from the reference kernels on LUD
+    # Coupled over the 2x2 unit mix (see test_prop_engine_equivalence),
+    # and the shadow tier catches it inside its first window.  The
+    # rollback target must hold the loaded program: a snapshot taken
+    # before run() cannot resume.
+    bench = get_benchmark("lud")
+    config = unit_mix(2, 2)
+    compiled = compile_program(bench.source("coupled"), config,
+                               mode="coupled")
+    inputs = bench.make_inputs(1)
+    policy = SanitizerPolicy(level="shadow", report_dir=str(tmp_path))
+    result = run_sanitized(compiled.program, config, overrides=inputs,
+                           policy=policy)
+    summary = result.sanitizer
+    assert summary.trips >= 1
+    assert result.cycles == 18_659        # the scan kernel's count
+    assert len(summary.reports) == 1
+    meta = json.load(open(os.path.join(summary.reports[0], "meta.json")))
+    assert meta["report"]["window"][0] < policy.shadow_stride
+    # The bundle's snapshot is a loaded program, so it replays.
+    verdict = replay_bundle(summary.reports[0], out=lambda line: None)
+    assert verdict["reproduced"] is True

@@ -7,10 +7,11 @@ from repro.errors import SimulationError
 from repro.isa.instruction import Operation, ThreadProgram
 from repro.isa.operands import Imm, Label, Reg
 from repro.machine import baseline
-from repro.sim.predecode import (_WARMUP_DISPATCHES, BlockPlan, BlockTable,
-                                 DecodedThread, SlotPlan, WordPlan,
-                                 _build_run, _entry_points, _word_fusible,
-                                 decode_program)
+from repro.sim import predecode
+from repro.sim.event import _WARMUP_DISPATCHES, EventNode
+from repro.sim.predecode import (BlockPlan, DecodedThread, SlotPlan,
+                                 WordPlan, _build_run, _entry_points,
+                                 _word_fusible, decode_program)
 from repro.sim.registers import RegisterFrame
 
 SOURCE = """
@@ -195,18 +196,29 @@ class TestSlotPlanEdgeCases:
             assert plan.exec_fn(frames) == expected, op
 
 
-class TestBlockTable:
-    """Lazy superblock compilation over the fixture program."""
+class TestBlockAdmission:
+    """Single-thread superblock admission on the event node, over the
+    fixture program: warmup, entry pinning, caching, run shape."""
 
     @pytest.fixture()
-    def table_and_words(self):
+    def node_and_thread(self):
         config = baseline()
         program = compile_program(SOURCE, config, mode="seq").program
-        unit_index = {slot.uid: i for i, slot in enumerate(config.units)}
-        decoded = decode_program(program, unit_index, config)
-        thread = decoded["main"]
-        assert isinstance(thread.blocks, BlockTable)
-        return thread.blocks, thread.words
+        node = EventNode(config)
+        return node, decode_program(program, node._unit_index)["main"]
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        """Every (program, entry ip) handed to the block compiler."""
+        seen = []
+        real = predecode._compile_run
+
+        def counting(thread_name, start, run, config):
+            seen.append((thread_name, start))
+            return real(thread_name, start, run, config)
+
+        monkeypatch.setattr(predecode, "_compile_run", counting)
+        return seen
 
     def _hot_entry(self, words):
         entries = sorted(_entry_points(words))
@@ -215,47 +227,81 @@ class TestBlockTable:
                 return ip
         pytest.fail("fixture program has no fusible run")
 
-    def test_entry_compiles_only_after_warmup(self, table_and_words):
-        table, words = table_and_words
-        entry = self._hot_entry(words)
+    def test_entry_compiles_only_after_warmup(self, node_and_thread,
+                                              builds):
+        node, thread = node_and_thread
+        entry = self._hot_entry(thread.words)
+        blocks = {}
         for __ in range(_WARMUP_DISPATCHES - 1):
-            assert table.get(entry) is None
-        block = table.get(entry)
+            assert node._admit_block(thread, entry, blocks) is None
+        assert builds == [] and blocks == {}
+        block = node._admit_block(thread, entry, blocks)
         assert isinstance(block, BlockPlan)
-        assert table.get(entry) is block          # cached, not recompiled
-        assert table.compiled_blocks() == {entry: block}
+        assert builds == [("main", entry)]
+        # Kept for the dispatcher, which looks it up before admission.
+        assert blocks == {entry: block}
         assert block.entry_ip == entry
         assert list(block.word_ips) == \
             list(range(entry, entry + len(block.word_ips)))
 
-    def test_non_entry_ips_never_compile(self, table_and_words):
-        table, words = table_and_words
+    def test_hot_entries_are_built_once(self, builds):
+        # A loop the dispatcher reaches far more often than the warmup:
+        # every entry is built at most once, then served from the
+        # node's table on every later dispatch.
+        config = baseline()
+        source = SOURCE.replace("(global x 4 :int)",
+                                "(global x 64 :int)") \
+            .replace("(global out 4 :int)", "(global out 64 :int)") \
+            .replace("(for (i 0 4)", "(for (i 0 64)")
+        program = compile_program(source, config, mode="seq").program
+        node = EventNode(config)
+        node.run(program)
+        assert builds
+        assert len(builds) == len(set(builds))
+        assert node.stats.fused_dispatches > len(builds)
+        built = {ip for ip, block in node._st_blocks["main"].items()
+                 if block is not None}
+        assert built and built <= {ip for __, ip in builds}
+
+    def test_non_entry_ips_never_compile(self, node_and_thread, builds):
+        node, thread = node_and_thread
+        words = thread.words
         non_entries = [ip for ip in range(len(words))
                        if ip not in _entry_points(words)]
         assert non_entries, "fixture program has no mid-run words"
+        blocks = {}
         for ip in non_entries:
             for __ in range(_WARMUP_DISPATCHES + 1):
-                assert table.get(ip) is None
-        assert table.compiled_blocks() == {}
+                assert node._admit_block(thread, ip, blocks) is None
+        # Pinned to None at first sight, so no heat ever accrues.
+        assert blocks == dict.fromkeys(non_entries)
+        assert builds == [] and node._st_heat == {}
 
-    def test_run_stops_at_terminal_branch(self, table_and_words):
-        __, words = table_and_words
+    def test_run_stops_at_terminal_branch(self, node_and_thread):
+        node, thread = node_and_thread
+        words = thread.words
         entry = self._hot_entry(words)
-        run = _build_run(words, entry, True)
-        for __, word, bru in run[:-1]:
-            assert bru is None
-            assert not any(p.is_bru for p in word.plans)
+        blocks = {}
+        block = None
+        for __ in range(_WARMUP_DISPATCHES):
+            block = node._admit_block(thread, entry, blocks)
+        assert isinstance(block, BlockPlan)
+        ips = list(block.word_ips)
+        for ip in ips[:-1]:
+            assert not any(p.is_bru for p in words[ip].plans)
         # A run either ends at its (sole) control slot or at a
         # non-fusible/terminal boundary.
-        last_ip, __, last_bru = run[-1]
-        if last_bru is None:
-            next_ip = last_ip + 1
+        last = ips[-1]
+        if not any(p.is_bru for p in words[last].plans):
+            next_ip = last + 1
             assert next_ip >= len(words) or \
                 not _word_fusible(words[next_ip], True)[0] or \
                 next_ip in _entry_points(words)
 
-    def test_memory_words_defuse_when_misses_possible(self, table_and_words):
-        __, words = table_and_words
+    def test_memory_words_defuse_when_misses_possible(self,
+                                                      node_and_thread):
+        __, thread = node_and_thread
+        words = thread.words
         mem_words = [w for w in words
                      if any(p.is_memory for p in w.plans)]
         assert mem_words, "fixture program has no memory words"
